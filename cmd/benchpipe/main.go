@@ -57,11 +57,10 @@ const baselineFixesPerSec = (baselineFixes / float64(baselineSlides)) / baseline
 
 // TrackRow is one tracking-tier configuration's measurement.
 type TrackRow struct {
-	// Mode distinguishes the ingest layout and measurement framing:
-	// "row" and "columnar" replay the workload through a fresh tier
-	// (cold start included); "columnar-steady" replays it through one
-	// warm tier as consecutive stretches of stream time, the regime a
-	// long-running deployment sits in.
+	// Mode distinguishes the measurement framing: "row" replays the
+	// workload through a fresh tier (cold start included); "steady"
+	// replays it through one warm tier as consecutive stretches of
+	// stream time, the regime a long-running deployment sits in.
 	Mode           string  `json:"mode"`
 	Shards         int     `json:"shards"`
 	NsPerSlide     float64 `json:"ns_per_slide"`
@@ -176,30 +175,27 @@ func main() {
 			"deterministic. " +
 			"speedup_vs_baseline is meaningful only on that workload shape. " +
 			"Multi-shard speedup requires gomaxprocs > 1. " +
-			"row/columnar tracking rows include tier cold start; columnar-steady rows replay " +
+			"row tracking rows include tier cold start; steady rows replay " +
 			"through one warm tier and measure the long-running steady state. " +
-			"The tracker keeps bit-identical IEEE-754 geodesic math across the row, columnar, " +
+			"The tracker keeps bit-identical IEEE-754 geodesic math across the serial, " +
 			"sharded, and snapshot-restore paths (the equivalence goldens pin it), which bounds " +
 			"the per-core multiple below the 5x target on this box: the per-fix floor is " +
 			"trig-dominated (two half-angle sines, one Sincos, two atan-family calls) plus one " +
-			"vessel-map probe, and the best recorded multiple is the columnar-steady row's.",
+			"vessel-map probe, and the best recorded multiple is the steady row's.",
 	}
 
-	// Tracking tier in isolation: row and columnar layouts through a
-	// fresh tier, then the steady-state framing through a warm one.
-	cols := toColumnarBatches(batches)
+	// Tracking tier in isolation: the workload through a fresh tier,
+	// then the steady-state framing through a warm one.
 	span := time.Duration(float64(time.Hour) * *hours)
 	var serialNs float64
 	for _, n := range shardCounts {
-		for _, mode := range []string{"row", "columnar", "columnar-steady"} {
+		for _, mode := range []string{"row", "steady"} {
 			var row TrackRow
 			switch mode {
 			case "row":
 				row = benchTracking(batches, len(fixes), n, *reps)
-			case "columnar":
-				row = benchTracking(cols, len(fixes), n, *reps)
-			case "columnar-steady":
-				row = benchSteadyTracking(cols, len(fixes), n, *reps, span)
+			case "steady":
+				row = benchSteadyTracking(batches, len(fixes), n, *reps, span)
 			}
 			row.Mode = mode
 			if n == 1 && mode == "row" {
@@ -344,44 +340,24 @@ func benchTracking(batches []stream.Batch, fixes, shards, reps int) TrackRow {
 	}
 }
 
-// toColumnarBatches restages row batches into struct-of-arrays form,
-// one FixBatch per slide, preserving query times.
-func toColumnarBatches(batches []stream.Batch) []stream.Batch {
-	out := make([]stream.Batch, len(batches))
-	for i, b := range batches {
-		fb := &ais.FixBatch{}
-		fb.Grow(len(b.Fixes))
-		for _, f := range b.Fixes {
-			fb.Append(f)
-		}
-		out[i] = stream.Batch{Cols: fb, Query: b.Query}
-	}
-	return out
-}
-
 // benchSteadyTracking measures the warm steady state: one tier, fleet
 // and window populated by a warm-up pass, then each rep replays the
 // workload as the next stretch of stream time (every timestamp advanced
 // by the workload span). Cold-start costs — vessel-map growth,
 // per-vessel allocation, slice warm-up — are excluded by construction.
 func benchSteadyTracking(src []stream.Batch, fixes, shards, reps int, span time.Duration) TrackRow {
-	// Deep-copy the columnar batches: the replay advances timestamps in
-	// place and must not disturb the other rows' input.
+	// Deep-copy the batches: the replay advances timestamps in place
+	// and must not disturb the other rows' input.
 	batches := make([]stream.Batch, len(src))
 	for i, b := range src {
-		fb := &ais.FixBatch{
-			MMSI:   append([]uint32(nil), b.Cols.MMSI...),
-			Lon:    append([]float64(nil), b.Cols.Lon...),
-			Lat:    append([]float64(nil), b.Cols.Lat...),
-			TimeNS: append([]int64(nil), b.Cols.TimeNS...),
-		}
-		batches[i] = stream.Batch{Cols: fb, Query: b.Query}
+		batches[i] = stream.Batch{Fixes: slices.Clone(b.Fixes), Query: b.Query}
 	}
 	shift := func() {
 		for i := range batches {
 			batches[i].Query = batches[i].Query.Add(span)
-			for j, ns := range batches[i].Cols.TimeNS {
-				batches[i].Cols.TimeNS[j] = ns + int64(span)
+			for j := range batches[i].Fixes {
+				f := &batches[i].Fixes[j]
+				f.Time = f.Time.Add(span)
 			}
 		}
 	}

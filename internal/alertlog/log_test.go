@@ -443,3 +443,53 @@ func segsAfter(t *testing.T, dir string, after uint64) []string {
 	}
 	return out
 }
+
+// TestReaderRescansSegmentSealedAfterScan pins the rotation race a live
+// tailer hits: the reader finds the active segment's end, the writer then
+// appends more records there and rotates, and only after that does the
+// reader list the segments and see the successor. The records appended
+// between the scan and the rotation are in the sealed segment and must
+// still be delivered, not counted as skipped.
+func TestReaderRescansSegmentSealedAfterScan(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 512, KeepSegments: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(testEnvs(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(dir, 0)
+	defer r.Close()
+	got, err := r.Next(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reader's next scan of the active segment would come back empty;
+	// the writer appends and rotates before the reader looks for a
+	// successor.
+	if err := l.Append(testEnvs(2, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Stats().Segments < 2 {
+		t.Fatalf("only %d segments; the append did not rotate", l.Stats().Segments)
+	}
+	if _, err := r.advance(&got, 1024); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		batch, err := r.Next(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 {
+			break
+		}
+		got = append(got, batch...)
+	}
+	requireContiguous(t, got, 1, 11)
+	if r.Skipped() != 0 {
+		t.Errorf("reader skipped %d records that are in the sealed segment", r.Skipped())
+	}
+}

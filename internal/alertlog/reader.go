@@ -60,11 +60,9 @@ func (r *Reader) Next(max int) ([]serve.Envelope, error) {
 			return out, err
 		}
 		if scanErr != nil || n == 0 {
-			// Either a torn tail or a clean end of the current segment.
-			// If a newer segment exists this one is sealed: a torn tail
-			// here is permanent corruption, and a clean end means the
-			// reader should move on. Otherwise wait for the writer.
-			advanced, err := r.advance(scanErr != nil)
+			// Either a torn tail or a clean end of the current segment:
+			// move on if the segment is sealed, else wait for the writer.
+			advanced, err := r.advance(&out, max)
 			if err != nil {
 				return out, err
 			}
@@ -156,12 +154,15 @@ func (r *Reader) scan(out *[]serve.Envelope, max int) (int, error, error) {
 	return n, nil, scanErr
 }
 
-// advance moves to the next segment when one exists. With torn true the
-// current segment's tail was invalid: if the segment is sealed (a newer
-// one exists) the tail is permanent loss and the reader steps over it;
-// if it is the active segment the writer is mid-append and the reader
-// waits.
-func (r *Reader) advance(torn bool) (bool, error) {
+// advance moves to the next segment when one exists; without one the
+// current segment is the active one and the reader waits for the writer.
+// The writer seals a segment before creating its successor, so once a
+// successor is listed the current segment is final — but the scan that
+// found its end may predate the last records appended before the seal.
+// advance therefore rescans the sealed segment first: records found
+// there go to out (the caller comes back once they are drained), and
+// only a tail that is still invalid is stepped over as permanent loss.
+func (r *Reader) advance(out *[]serve.Envelope, max int) (bool, error) {
 	segs, err := listSegments(r.dir)
 	if err != nil {
 		return false, err
@@ -176,7 +177,14 @@ func (r *Reader) advance(torn bool) (bool, error) {
 	if nextSeg == nil {
 		return false, nil // this is the active segment; wait for the writer
 	}
-	if torn {
+	n, scanErr, err := r.scan(out, max)
+	if err != nil {
+		return false, err
+	}
+	if n > 0 && scanErr == nil {
+		return true, nil
+	}
+	if scanErr != nil {
 		// Sealed segment with an invalid tail: everything up to the next
 		// segment's first record is gone for this reader.
 		if nextSeg.start > r.next {

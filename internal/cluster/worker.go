@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/ais"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/feed"
@@ -78,12 +77,10 @@ type Worker struct {
 	cursor feed.Cursor
 	slides int
 
-	// Steady-state scratch: the columnar batch arena the slice feed is
-	// decoded into, and the uplink frames re-filled every slide so the
-	// per-slide encode allocates nothing on the worker side.
-	cols ais.FixBatch
-	out  SlideOutput
-	msg  Message
+	// Steady-state scratch: the uplink frames re-filled every slide so
+	// the per-slide encode allocates nothing on the worker side.
+	out SlideOutput
+	msg Message
 }
 
 // NewWorker builds the worker and, when a checkpoint directory is
@@ -199,17 +196,15 @@ func (w *Worker) Run(ctx context.Context) error {
 	slideSec := int64(w.cfg.System.Window.Slide / time.Second)
 	var lastQ time.Time
 	for {
-		// Columnar slide admission: the slice feed decodes straight into
-		// the worker's reusable batch arena.
-		b, ok := batcher.NextInto(&w.cols)
+		b, ok := batcher.Next()
 		if !ok {
 			break
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		for i := 0; i < w.cols.Len(); i++ {
-			w.cursor.Note(w.cols.At(i))
+		for _, f := range b.Fixes {
+			w.cursor.Note(f)
 		}
 		w.fresh = w.fresh[:0]
 		rep := w.sys.ProcessBatch(b)

@@ -370,7 +370,7 @@ func (s *System) ProcessBatch(b stream.Batch) SlideReport {
 }
 
 func (s *System) processLocked(b stream.Batch) SlideReport {
-	rep := SlideReport{Query: b.Query, FixesIn: b.Len()}
+	rep := SlideReport{Query: b.Query, FixesIn: len(b.Fixes)}
 	level := DegradeNone
 	if s.degrader != nil {
 		level = s.degrader.Level()

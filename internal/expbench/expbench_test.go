@@ -1,6 +1,7 @@
 package expbench
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -208,12 +209,22 @@ func TestFig11aShape(t *testing.T) {
 func TestFig11TwoProcessorsNotSlower(t *testing.T) {
 	wl := shortWL(t)
 	slides, queries := meSlides(wl)
-	one := runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 1}, slides, queries)
-	two := runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 2}, slides, queries)
-	// Timing noise at CI scale: allow slack, but parallel recognition
-	// must not be systematically slower than sequential.
-	if two.MeanStep > one.MeanStep*3/2 {
-		t.Errorf("2 processors (%v) much slower than 1 (%v)", two.MeanStep, one.MeanStep)
+	// One wall-clock sample per side is at the mercy of the scheduler
+	// (other test packages run in parallel), so compare the medians of
+	// interleaved repetitions.
+	const reps = 7
+	var ones, twos []time.Duration
+	for range reps {
+		ones = append(ones, runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 1}, slides, queries).MeanStep)
+		twos = append(twos, runFig11(wl, fig11Config{window: 6 * time.Hour, procs: 2}, slides, queries).MeanStep)
+	}
+	slices.Sort(ones)
+	slices.Sort(twos)
+	one, two := ones[reps/2], twos[reps/2]
+	// Parallel recognition must not be systematically slower than
+	// sequential.
+	if two > one*3/2 {
+		t.Errorf("2 processors (median %v) much slower than 1 (median %v)", two, one)
 	}
 }
 

@@ -175,8 +175,10 @@ func (p *Proxy) handle(ctx context.Context, client net.Conn, idx int) {
 			lineNo++
 			if resetAt >= 0 && lineNo > resetAt {
 				flushHeld()
-				p.reset(client, line)
+				// Log before severing: once the client sees the reset it
+				// may be gone, and its logger with it.
 				p.logf("connection %d: injected reset after %d lines", idx, resetAt)
+				p.reset(client, line)
 				return
 			}
 			if p.Plan.StallEvery > 0 && lineNo%p.Plan.StallEvery == 0 && p.Plan.StallFor > 0 {

@@ -14,6 +14,13 @@ import (
 // startUpstream serves the given lines to every connection.
 func startUpstream(t *testing.T, lines []string) string {
 	t.Helper()
+	return startGatedUpstream(t, lines, nil)
+}
+
+// startGatedUpstream is startUpstream with every connection holding its
+// lines until gate is closed (a nil gate never holds).
+func startGatedUpstream(t *testing.T, lines []string, gate <-chan struct{}) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +34,9 @@ func startUpstream(t *testing.T, lines []string) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
+				if gate != nil {
+					<-gate
+				}
 				for _, l := range lines {
 					if _, err := io.WriteString(c, l+"\n"); err != nil {
 						return
@@ -181,13 +191,19 @@ func TestProxyCorruptionIsSeededAndRecorded(t *testing.T) {
 
 func TestProxyResetTruncatesMidLine(t *testing.T) {
 	want := testLines(40)
+	// The upstream holds its lines until the client's Dial has returned:
+	// otherwise the proxy can relay and reset before the dialing
+	// goroutine collects the connect result, and Dial itself fails with
+	// "connection reset by peer".
+	dialed := make(chan struct{})
 	p := &Proxy{
-		Upstream: startUpstream(t, want),
+		Upstream: startGatedUpstream(t, want, dialed),
 		Plan:     Plan{ResetAfterLines: []int{10}, TruncateOnReset: true},
 		Logf:     t.Logf,
 	}
 	addr := startProxy(t, p)
 	conn, err := net.Dial("tcp", addr)
+	close(dialed)
 	if err != nil {
 		t.Fatal(err)
 	}

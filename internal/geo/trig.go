@@ -67,8 +67,8 @@ func BearingCached(a, b Point, ta, tb LatTrig) float64 {
 // half-angle term: sin Δλ and cos Δλ come from sin(Δλ/2) by the double-
 // angle identities instead of two more trig calls, and the final fold
 // into [0, 360) is a conditional add instead of math.Mod. The result
-// agrees with Bearing to within a few ULPs — every consumer (the
-// tracker, both row and columnar) resolves headings through this one
+// agrees with Bearing to within a few ULPs — every tracker path
+// (serial, sharded, replayed) resolves headings through this one
 // function, so the tracker's equivalence goldens are unaffected.
 // dt must be positive; the caller has already rejected non-advancing
 // timestamps.

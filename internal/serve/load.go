@@ -63,10 +63,11 @@ func (r LoadReport) String() string {
 }
 
 // latencyHist is a lock-free exponential histogram of delivery
-// latencies: bucket i counts samples in [2^i, 2^(i+1)) microseconds.
-// Percentiles are reported as the upper bound of the bucket holding the
-// rank — coarse but cheap enough to sample every event from 10k
-// concurrent subscribers without perturbing the measurement.
+// latencies: bucket 0 counts samples under 1 µs and bucket i > 0 those
+// in [2^(i-1), 2^i) microseconds. Percentiles are reported as the upper
+// bound of the bucket holding the rank, capped at the observed maximum —
+// coarse but cheap enough to sample every event from 10k concurrent
+// subscribers without perturbing the measurement.
 type latencyHist struct {
 	buckets [40]atomic.Uint64
 	max     atomic.Int64 // nanoseconds
@@ -94,7 +95,8 @@ func (h *latencyHist) observe(d time.Duration) {
 }
 
 // percentile returns the upper bound of the bucket containing rank
-// q·total.
+// q·total, or the observed maximum when that is lower: no percentile
+// may exceed the largest sample.
 func (h *latencyHist) percentile(q float64) time.Duration {
 	var total uint64
 	for i := range h.buckets {
@@ -111,7 +113,7 @@ func (h *latencyHist) percentile(q float64) time.Duration {
 	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen > rank {
-			return time.Duration(1<<uint(i)) * time.Microsecond
+			return min(time.Duration(1<<uint(i))*time.Microsecond, time.Duration(h.max.Load()))
 		}
 	}
 	return time.Duration(h.max.Load())

@@ -79,3 +79,23 @@ func TestRunLoadAcrossReplicas(t *testing.T) {
 		t.Errorf("latency histogram empty (max=%s) despite %d events", rep.Max, rep.Events)
 	}
 }
+
+// TestLatencyHistPercentilesCappedAtMax fills a single power-of-two
+// bucket ([65.536 ms, 131.072 ms)) with samples whose maximum is far
+// below the bucket's upper bound: every reported percentile must stay
+// at or below the largest observed sample.
+func TestLatencyHistPercentilesCappedAtMax(t *testing.T) {
+	var h latencyHist
+	for ms := 66; ms <= 76; ms++ {
+		h.observe(time.Duration(ms) * time.Millisecond)
+	}
+	maxD := time.Duration(h.max.Load())
+	if maxD != 76*time.Millisecond {
+		t.Fatalf("max = %v, want 76ms", maxD)
+	}
+	for _, q := range []float64{0.50, 0.95, 0.99} {
+		if p := h.percentile(q); p > maxD || p < 66*time.Millisecond {
+			t.Errorf("p%.0f = %v, want within [66ms, max %v]", q*100, p, maxD)
+		}
+	}
+}

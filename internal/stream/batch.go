@@ -48,21 +48,9 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // (Query-β, Query]: the paper simulates streaming "by consuming this
 // positional data little by little, reading small chunks periodically
 // according to window specifications" (§5).
-// A batch carries its fixes in exactly one of two forms: the
-// row-oriented Fixes slice, or the columnar Cols arena filled by
-// Batcher.NextInto. Consumers check Cols first; Len abstracts over both.
 type Batch struct {
 	Fixes []ais.Fix
-	Cols  *ais.FixBatch // columnar form; nil on the row path
-	Query time.Time     // the query time Q_i closing this slide interval
-}
-
-// Len returns the number of fixes in the batch, whichever form it is in.
-func (b Batch) Len() int {
-	if b.Cols != nil {
-		return b.Cols.Len()
-	}
-	return len(b.Fixes)
+	Query time.Time // the query time Q_i closing this slide interval
 }
 
 // Batcher groups a timestamped fix source into consecutive slide
@@ -144,49 +132,6 @@ func (b *Batcher) Next() (Batch, bool) {
 				return out, true
 			}
 			out.Fixes = append(out.Fixes, f)
-		}
-		b.done = true
-		return out, true
-	}
-	// The pending fix belongs to a later slide: emit an empty batch.
-	b.query = b.query.Add(b.slide)
-	return out, true
-}
-
-// NextInto is the columnar, allocation-free variant of Next: the next
-// slide's fixes are appended into fb (reset first, capacity retained
-// across slides) and the returned batch references fb via Cols. The
-// batching algorithm — grid alignment, pending spill, empty slides — is
-// identical to Next; only the storage form differs. The returned batch
-// is valid until the next NextInto call recycles fb.
-func (b *Batcher) NextInto(fb *ais.FixBatch) (Batch, bool) {
-	if b.done {
-		return Batch{}, false
-	}
-	fb.Reset()
-	var out Batch
-	if !b.started {
-		if !b.src.Scan() {
-			b.done = true
-			return Batch{}, false
-		}
-		first := b.src.Fix()
-		b.query = first.Time.Truncate(b.slide).Add(b.slide)
-		b.pending = first
-		b.started = true
-	}
-	out.Query = b.query
-	out.Cols = fb
-	if !b.pending.Time.After(b.query) {
-		fb.Append(b.pending)
-		for b.src.Scan() {
-			f := b.src.Fix()
-			if f.Time.After(b.query) {
-				b.pending = f
-				b.query = b.query.Add(b.slide)
-				return out, true
-			}
-			fb.Append(f)
 		}
 		b.done = true
 		return out, true

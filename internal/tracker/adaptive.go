@@ -180,26 +180,17 @@ func (a *AdaptiveState) multFor(speedKn float64, haveV bool) float64 {
 // re-tunes on cadence. Runs serially on the coordinator.
 func (a *AdaptiveState) observe(b stream.Batch) {
 	sampleCap := a.cfg.SampleVessels * numSpeedClasses * 2
-	record := func(f ais.Fix) {
+	for _, f := range b.Fixes {
 		vs := a.samples[f.MMSI]
 		if vs == nil {
 			if len(a.samples) >= sampleCap {
-				return
+				continue
 			}
 			vs = &vesselSample{}
 			a.samples[f.MMSI] = vs
 		}
 		if len(vs.fixes) < a.cfg.SampleFixesPerVessel {
 			vs.fixes = append(vs.fixes, f)
-		}
-	}
-	if b.Cols != nil {
-		for i := 0; i < b.Cols.Len(); i++ {
-			record(b.Cols.At(i))
-		}
-	} else {
-		for _, f := range b.Fixes {
-			record(f)
 		}
 	}
 	a.slides++

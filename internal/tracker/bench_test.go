@@ -4,14 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ais"
 	"repro/internal/fleetsim"
 	"repro/internal/stream"
 )
 
 // benchWorkload is the benchmark fleet: the same shape as the BENCH
 // artifact's baseline workload (seed 42, 400 vessels, 2 h, 5 min slides).
-func benchWorkload(b *testing.B) (rows []stream.Batch, cols []stream.Batch, fixes int) {
+func benchWorkload(b *testing.B) (batches []stream.Batch, fixes int) {
 	b.Helper()
 	cfg := fleetsim.DefaultConfig()
 	cfg.Seed = 42
@@ -24,14 +23,9 @@ func benchWorkload(b *testing.B) (rows []stream.Batch, cols []stream.Batch, fixe
 		if !ok {
 			break
 		}
-		rows = append(rows, bt)
-		fb := &ais.FixBatch{}
-		for _, f := range bt.Fixes {
-			fb.Append(f)
-		}
-		cols = append(cols, stream.Batch{Cols: fb, Query: bt.Query})
+		batches = append(batches, bt)
 	}
-	return rows, cols, len(all)
+	return batches, len(all)
 }
 
 func benchSlide(b *testing.B, batches []stream.Batch, fixes, shards int) {
@@ -51,23 +45,22 @@ func benchSlide(b *testing.B, batches []stream.Batch, fixes, shards int) {
 }
 
 // BenchmarkShardedSlide replays the baseline workload through the
-// tracking tier, row-oriented versus columnar, at 1 and 4 shards.
+// tracking tier at 1 and 4 shards.
 func BenchmarkShardedSlide(b *testing.B) {
-	rows, cols, fixes := benchWorkload(b)
-	b.Run("row-1shard", func(b *testing.B) { benchSlide(b, rows, fixes, 1) })
-	b.Run("columnar-1shard", func(b *testing.B) { benchSlide(b, cols, fixes, 1) })
-	b.Run("row-4shard", func(b *testing.B) { benchSlide(b, rows, fixes, 4) })
-	b.Run("columnar-4shard", func(b *testing.B) { benchSlide(b, cols, fixes, 4) })
+	batches, fixes := benchWorkload(b)
+	b.Run("1shard", func(b *testing.B) { benchSlide(b, batches, fixes, 1) })
+	b.Run("4shard", func(b *testing.B) { benchSlide(b, batches, fixes, 4) })
 }
 
-// shiftBatches advances every columnar batch (and its query time) by d,
+// shiftBatches advances every batch (its fixes and its query time) by d,
 // in place, so the same workload can be replayed against a warm tracker
 // as the next stretch of stream time.
 func shiftBatches(batches []stream.Batch, d time.Duration) {
 	for i := range batches {
 		batches[i].Query = batches[i].Query.Add(d)
-		for j, ns := range batches[i].Cols.TimeNS {
-			batches[i].Cols.TimeNS[j] = ns + int64(d)
+		for j := range batches[i].Fixes {
+			f := &batches[i].Fixes[j]
+			f.Time = f.Time.Add(d)
 		}
 	}
 }
@@ -80,19 +73,19 @@ func shiftBatches(batches []stream.Batch, d time.Duration) {
 // excluded, which is exactly what distinguishes this row from
 // BenchmarkShardedSlide.
 func BenchmarkSteadySlide(b *testing.B) {
-	_, cols, fixes := benchWorkload(b)
+	batches, fixes := benchWorkload(b)
 	span := 2 * time.Hour
 	tr := NewSharded(DefaultParams(), stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}, 1)
 	defer tr.Close()
 	// Warm up: one full pass populates the fleet and fills the window.
-	for _, bt := range cols {
+	for _, bt := range batches {
 		tr.Slide(bt)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shiftBatches(cols, span)
-		for _, bt := range cols {
+		shiftBatches(batches, span)
+		for _, bt := range batches {
 			tr.Slide(bt)
 		}
 	}

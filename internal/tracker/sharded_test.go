@@ -209,3 +209,50 @@ func TestShardedBoundaryVessels(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateSlideAllocs is the allocation-free steady state gate:
+// after the tracking tier has warmed (vessel map populated, scratch
+// slices at their high-water marks, synopsis windows full), a slide must
+// run allocation-free up to a small amortized constant — synopsis ring
+// growth and stop-run reallocation are amortized, nothing is allocated
+// per fix or per slide. At two shards the gate also covers the routing
+// buffers and the pooled fan-out.
+func TestSteadyStateSlideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime inflates allocation counts")
+	}
+	// The batches are built before measuring, so AllocsPerRun sees only
+	// Slide. Drop the far-future drain batch; it evicts every vessel,
+	// which is not a steady state.
+	batches := simBatches(t, 150, 3)
+	batches = batches[:len(batches)-1]
+	params := DefaultParams()
+	window := stream.WindowSpec{Range: time.Hour, Slide: 5 * time.Minute}
+
+	for _, shards := range []int{1, 2} {
+		tier := NewSharded(params, window, shards)
+		warm := len(batches) - 12 // leave 12 slides (one full window) to measure
+		if warm < 1 {
+			t.Fatalf("run too short: %d slides", len(batches))
+		}
+		for _, b := range batches[:warm] {
+			tier.Slide(b)
+		}
+
+		idx := warm
+		const runs = 10 // AllocsPerRun adds one warm-up call
+		allocs := testing.AllocsPerRun(runs, func() {
+			tier.Slide(batches[idx])
+			idx++
+		})
+		tier.Close()
+		if idx != warm+runs+1 {
+			t.Fatalf("shards=%d: measured %d slides, want %d", shards, idx-warm, runs+1)
+		}
+		const maxAllocs = 10
+		if allocs > maxAllocs {
+			t.Errorf("shards=%d: steady-state slide allocates %.1f times, want <= %d", shards, allocs, maxAllocs)
+		}
+		t.Logf("shards=%d: %.1f allocs/slide", shards, allocs)
+	}
+}

@@ -54,8 +54,9 @@ type Snapshot struct {
 	Stats   Stats
 }
 
-// snapshotVessel captures one vessel's state, converting the columnar
-// in-memory layout back to the stable row-oriented wire format. Slices
+// snapshotVessel captures one vessel's state, converting the in-memory
+// layout (int64-nanosecond clocks, MMSI-free run entries) back to the
+// stable row-oriented wire format. Slices
 // are copied so the snapshot stays valid while the tracker keeps
 // sliding.
 func snapshotVessel(mmsi uint32, st *vesselState) VesselSnapshot {

@@ -19,13 +19,10 @@ import (
 // per incoming tuple; long-lasting events cost O(m) over the m most
 // recent positions (paper §3.1).
 //
-// The ingest path is columnar: fixes arrive as scalar (MMSI, lon, lat,
-// UnixNano) tuples — read straight out of an ais.FixBatch's parallel
-// arrays or adapted from row-oriented ais.Fix values — and all internal
-// clocks are int64 nanoseconds. Emitted critical points carry time.Time
-// values rebuilt with time.Unix(0, ns).UTC(), which is structurally
-// identical to the times the row path carried, so the two ingest forms
-// produce byte-identical output.
+// Fixes arrive as row-oriented ais.Fix values, but all internal clocks
+// are int64 nanoseconds: a fix's time is converted once at ingest, and
+// emitted critical points carry time.Time values rebuilt with
+// time.Unix(0, ns).UTC().
 type Tracker struct {
 	params  Params
 	window  stream.WindowSpec
@@ -208,17 +205,9 @@ type SlideResult struct {
 // sharded tier uses the scratch-backed internal phases instead.
 func (tr *Tracker) Slide(b stream.Batch) SlideResult {
 	tr.beginSlide()
-	if b.Cols != nil {
-		cols := b.Cols
-		for i := range cols.MMSI {
-			tr.curIdx = int32(i)
-			tr.ingest(cols.MMSI[i], cols.Lon[i], cols.Lat[i], cols.TimeNS[i])
-		}
-	} else {
-		for i, f := range b.Fixes {
-			tr.curIdx = int32(i)
-			tr.ingestFix(f)
-		}
+	for i, f := range b.Fixes {
+		tr.curIdx = int32(i)
+		tr.ingest(f)
 	}
 	_, delta := tr.finishSlide(b.Query)
 
@@ -237,25 +226,6 @@ func (tr *Tracker) beginSlide() {
 	tr.fresh = tr.fresh[:0]
 	tr.freshIdx = tr.freshIdx[:0]
 	tr.curIdx = gapSentinel
-}
-
-// ingestFix processes one row-oriented fix.
-func (tr *Tracker) ingestFix(f ais.Fix) {
-	tr.ingest(f.MMSI, f.Pos.Lon, f.Pos.Lat, f.Time.UnixNano())
-}
-
-// ingestIndexed processes one row fix tagged with its global batch
-// index, the sharded tier's row-path ingest entry point.
-func (tr *Tracker) ingestIndexed(f ais.Fix, idx int32) {
-	tr.curIdx = idx
-	tr.ingestFix(f)
-}
-
-// ingestColsIndexed processes fix i of a columnar batch tagged with its
-// global batch index.
-func (tr *Tracker) ingestColsIndexed(cols *ais.FixBatch, i int32) {
-	tr.curIdx = i
-	tr.ingest(cols.MMSI[i], cols.Lon[i], cols.Lat[i], cols.TimeNS[i])
 }
 
 // finishSlide runs the per-slide phases that follow ingestion: the
@@ -333,8 +303,9 @@ func (tr *Tracker) stopRadiusFor(st *vesselState) float64 {
 	return tr.params.StopRadiusMeters
 }
 
-// ingest processes one fix given as scalar column values.
-func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
+// ingest processes one fix.
+func (tr *Tracker) ingest(f ais.Fix) {
+	mmsi, pos, tns := f.MMSI, f.Pos, f.Time.UnixNano()
 	tr.stats.FixesIn++
 	st := tr.vessels[mmsi]
 	if st == nil {
@@ -352,7 +323,6 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 		}
 		tr.vessels[mmsi] = st
 	}
-	pos := geo.Point{Lon: lon, Lat: lat}
 	if !st.haveLast {
 		st.setLast(pos, tns, geo.LatTrigOf(pos))
 		st.haveLast = true
@@ -432,7 +402,7 @@ func (tr *Tracker) ingest(mmsi uint32, lon, lat float64, tns int64) {
 
 	if dt <= 0 {
 		// Unreachable (non-advancing timestamps returned above); kept as
-		// the row path's "velocity unknown" guard.
+		// the "velocity unknown" guard.
 		tr.stats.Duplicates++
 		return
 	}
@@ -617,7 +587,7 @@ func (st *vesselState) stopCentroid() geo.Point {
 }
 
 // stopWithin reports whether every run member lies within radius meters
-// of the run centroid — the same answer withinRadius gave the row path.
+// of the run centroid — the same answer as a per-member haversine scan.
 // A conservative spherical L1 bound over the run's bounding box settles
 // the common case (a tight anchorage drift) without touching the run;
 // only runs brushing the radius fall back to the exact per-point scan.
