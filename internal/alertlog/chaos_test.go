@@ -39,8 +39,7 @@ func startChaosReplica(t *testing.T, dir, name string) *chaosReplica {
 	t.Helper()
 	hub := serve.NewHub(64) // tiny ring: reconnect replay MUST come from the log
 	hub.AttachReplay(OpenReplay(dir))
-	tailer := NewTailer(dir, 0, hub.PublishEnvelopes,
-		TailOptions{MinPoll: time.Millisecond, MaxPoll: 5 * time.Millisecond})
+	tailer := NewTailer(dir, 0, hub.PublishEnvelopes, TailOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

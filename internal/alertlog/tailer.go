@@ -9,13 +9,18 @@ import (
 	"repro/internal/serve"
 )
 
+// minPoll/maxPoll bound the backstop poll: after an empty poll the wait
+// doubles from minPoll up to maxPoll, and resets on the first delivered
+// batch. A directory watch wakes the tailer sooner on every write; the
+// backstop catches what the watch misses (event queue overflow, a watch
+// that failed to arm, a writer on another host over shared storage).
+const (
+	minPoll = 5 * time.Millisecond
+	maxPoll = 250 * time.Millisecond
+)
+
 // TailOptions configures a Tailer.
 type TailOptions struct {
-	// MinPoll/MaxPoll bound the idle backoff: after an empty poll the
-	// wait doubles from MinPoll up to MaxPoll, and resets on the first
-	// delivered batch (defaults 5ms / 250ms).
-	MinPoll time.Duration
-	MaxPoll time.Duration
 	// MaxBatch bounds one poll's delivery (≤ 0: 1024 records).
 	MaxBatch int
 }
@@ -28,12 +33,16 @@ type TailerStats struct {
 	// corrupt ranges) — loss surfaced, never hidden.
 	Skipped uint64 `json:"skipped"`
 	Polls   uint64 `json:"polls"`
+	// Wakes counts polls started by a directory-watch notification
+	// rather than the backstop timer.
+	Wakes   uint64 `json:"wakes"`
 	Batches uint64 `json:"batches"`
 	Records uint64 `json:"records"`
 	Errors  uint64 `json:"errors"`
 }
 
-// Tailer drives one replica: it polls the log with backoff, resumes
+// Tailer drives one replica: it polls the log whenever the log
+// directory changes (backstopped by a timed poll with backoff), resumes
 // from its last applied sequence, and hands each batch to the sink (the
 // replica hub's PublishEnvelopes) in order. One goroutine runs Run; the
 // stats are safe to read concurrently.
@@ -41,6 +50,10 @@ type Tailer struct {
 	dir  string
 	sink func([]serve.Envelope)
 	opt  TailOptions
+
+	// minPoll/maxPoll are the backstop schedule (the package constants;
+	// tests stretch them to prove delivery does not wait for a timer).
+	minPoll, maxPoll time.Duration
 
 	mu sync.Mutex
 	r  *Reader
@@ -50,20 +63,16 @@ type Tailer struct {
 // NewTailer returns a tailer resuming after afterSeq (0 = from the
 // oldest retained record).
 func NewTailer(dir string, afterSeq uint64, sink func([]serve.Envelope), opt TailOptions) *Tailer {
-	if opt.MinPoll <= 0 {
-		opt.MinPoll = 5 * time.Millisecond
-	}
-	if opt.MaxPoll <= 0 {
-		opt.MaxPoll = 250 * time.Millisecond
-	}
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = 1024
 	}
 	return &Tailer{
-		dir:  dir,
-		sink: sink,
-		opt:  opt,
-		r:    NewReader(dir, afterSeq),
+		dir:     dir,
+		sink:    sink,
+		opt:     opt,
+		minPoll: minPoll,
+		maxPoll: maxPoll,
+		r:       NewReader(dir, afterSeq),
 	}
 }
 
@@ -89,21 +98,35 @@ func (t *Tailer) Poll() (int, error) {
 	return len(batch), err
 }
 
-// Run tails until ctx is done.
+// Run tails until ctx is done. It polls again as soon as the log
+// directory's watch reports a write, a new segment or a rename, and at
+// the latest when the backstop backoff expires. A watch that could not
+// be armed (the directory does not exist yet) is retried on every
+// backstop tick; the watch is always armed before the poll it guards,
+// so a write landing after that poll still wakes the next one.
 func (t *Tailer) Run(ctx context.Context) {
-	backoff := t.opt.MinPoll
+	var w *dirWatch
+	defer func() { w.close() }()
+	backoff := t.minPoll
 	for ctx.Err() == nil {
+		if w == nil {
+			w = watchDir(t.dir)
+		}
 		n, err := t.Poll()
 		if n > 0 && err == nil {
-			backoff = t.opt.MinPoll
+			backoff = t.minPoll
 			continue
 		}
 		select {
 		case <-ctx.Done():
+		case <-w.wake():
+			t.mu.Lock()
+			t.st.Wakes++
+			t.mu.Unlock()
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > t.opt.MaxPoll {
-			backoff = t.opt.MaxPoll
+		if backoff *= 2; backoff > t.maxPoll {
+			backoff = t.maxPoll
 		}
 	}
 	t.mu.Lock()
@@ -150,6 +173,8 @@ func (t *Tailer) RegisterMetrics(r *obs.Registry, replica string) {
 		func() float64 { return float64(t.Stats().Skipped) })
 	r.CounterFunc("maritime_alertlog_tail_polls_total", "Log polls by this replica.", labels,
 		func() float64 { return float64(t.Stats().Polls) })
+	r.CounterFunc("maritime_alertlog_tail_wakes_total", "Log polls started by a directory-watch notification rather than the backstop timer.", labels,
+		func() float64 { return float64(t.Stats().Wakes) })
 	r.CounterFunc("maritime_alertlog_tail_errors_total", "Failed log polls.", labels,
 		func() float64 { return float64(t.Stats().Errors) })
 }

@@ -74,10 +74,12 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// DefBuckets spans 100 µs to 10 s — the per-slide stage costs of the
+// DefBuckets spans 1 µs to 10 s — the per-slide stage costs of the
 // paper's Figures 6–11 all land inside this range at every scale the
-// harness runs.
+// harness runs, down to the microsecond staging, loading and trip
+// reconstruction stages.
 var DefBuckets = []float64{
+	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -242,10 +244,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		keys := make([]string, 0, len(f.samples))
 		// Samples are read under the registry lock only for map shape;
 		// values are atomics or pull funcs, safe without it.
 		r.mu.RLock()
+		keys := make([]string, 0, len(f.samples))
 		for k := range f.samples {
 			keys = append(keys, k)
 		}

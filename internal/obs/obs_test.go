@@ -118,6 +118,22 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+func TestDefBucketsResolveMicroseconds(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("stage_seconds", "", nil, nil)
+	h.ObserveDuration(2 * time.Microsecond)
+	out := scrape(t, r)
+	for _, want := range []string{
+		`stage_seconds_bucket{le="1e-06"} 0`,
+		`stage_seconds_bucket{le="2.5e-06"} 1`,
+		`stage_seconds_bucket{le="0.0001"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scrape missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestObserveDuration(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("d_seconds", "", nil, []float64{0.05, 1})
