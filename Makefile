@@ -64,11 +64,15 @@ serveload-smoke:
 
 # Cross-vessel analytics suite: fleetsim ground-truth precision/recall
 # for rendezvous and dark-rendezvous, index-vs-brute-force collision
-# screening, and cluster-vs-single-process pairwise byte equivalence
-# (including a mid-run manifest restore) — under the race detector.
+# screening (including the scan-boundary pair-ownership case and the
+# cell-cover predicate against the scan), the tier against its
+# brute-force rendezvous/dark-rendezvous oracle, and
+# cluster-vs-single-process pairwise byte equivalence (including a
+# mid-run manifest restore) — under the race detector.
 test-analytics:
-	go test -race -v -run 'TestPairwiseAnalyticsGroundTruth|TestAnalyticsDisabledByDefault' ./internal/core/
-	go test -race -v -run 'TestIndexMatchesBruteForce|TestEncountersInvariantToArrivalOrder' ./internal/collision/
+	go test -race -v -run 'TestPairwiseAnalyticsGroundTruth|TestAnalyticsDisabledByDefault|TestAnalyticsWorkCountersExport' ./internal/core/
+	go test -race -v -run 'TestIndexMatchesBruteForce|TestEncountersInvariantToArrivalOrder|TestEncountersOwnsAsymmetricBoundaryPair' ./internal/collision/
+	go test -race -v -run 'TestCellCoverMatchesScan' ./internal/geo/
 	go test -race -v ./internal/analytics/
 	go test -race -v -run 'TestClusterPairwiseAnalyticsEquivalence|TestClusterManifestRestoreWithAnalytics' ./internal/cluster/
 
@@ -94,11 +98,14 @@ bench-decode:
 	go test -run '^$$' -bench '^BenchmarkDecode$$' -benchmem -benchtime=1x ./internal/ais/
 
 # Allocation-regression guard: the steady-state slide budget
-# (testing.AllocsPerRun gate in the tracker) and the zero-allocation
-# zero-copy scanners. Run without -race: the race runtime inflates
-# allocation counts and both tests skip themselves under it.
+# (testing.AllocsPerRun gate in the tracker), the zero-allocation
+# zero-copy scanners and the warm collision-screen budget. Run without
+# -race: the race runtime inflates allocation counts and the tests skip
+# themselves under it. The pairwise benchmarks then run a few
+# iterations to report their allocs/op (reported, not gated).
 check-allocs:
-	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs' ./internal/tracker/ ./internal/ais/
+	go test -v -run 'TestSteadyStateSlideAllocs|TestZeroCopyScanAllocs|TestEncountersWarmAllocs' ./internal/tracker/ ./internal/ais/ ./internal/collision/
+	go test -run '^$$' -bench '^(BenchmarkEncounters|BenchmarkTierSlide)$$' -benchmem -benchtime=5x ./internal/collision/ ./internal/analytics/
 
 # Full row sets at the default scale (N=1000); see -list for ids.
 experiments:

@@ -165,6 +165,8 @@ type Tier struct {
 	atomEvicted      atomic.Int64
 	atomLateRejected atomic.Int64
 	atomPairAlerts   atomic.Int64
+	atomCPAPairs     atomic.Int64
+	atomEncounters   atomic.Int64
 
 	evicted    int64
 	pairAlerts int64
@@ -177,6 +179,12 @@ type Stats struct {
 	Evicted      int64 // vessel states dropped after going stale
 	LateRejected int64 // out-of-order points the collision feed rejected
 	PairAlerts   int64 // pairwise alerts emitted
+	// CPAPairs counts the candidate pairs the collision screen computed
+	// a closest point of approach for, Encounters the pairs among them
+	// within threshold — the pairwise layer's useful/attempted ratio.
+	// Both count this process's work and are not checkpointed.
+	CPAPairs   int64
+	Encounters int64
 }
 
 // New builds the tier. ports are the port polygons used to suppress
@@ -206,6 +214,8 @@ func (t *Tier) Stats() Stats {
 		Evicted:      t.atomEvicted.Load(),
 		LateRejected: t.atomLateRejected.Load(),
 		PairAlerts:   t.atomPairAlerts.Load(),
+		CPAPairs:     t.atomCPAPairs.Load(),
+		Encounters:   t.atomEncounters.Load(),
 	}
 }
 
@@ -261,6 +271,8 @@ func (t *Tier) Slide(q time.Time, fresh []tracker.CriticalPoint) []maritime.Aler
 		alerts = append(alerts, t.collisionScreen(q)...)
 		st := t.det.Stats()
 		t.atomLateRejected.Store(int64(st.LateRejected))
+		t.atomCPAPairs.Store(st.CPAPairs)
+		t.atomEncounters.Store(st.Encounters)
 	}
 
 	slices.SortStableFunc(alerts, maritime.CompareAlerts)
@@ -318,6 +330,9 @@ func (t *Tier) pruneGaps(q time.Time) {
 // order gaps close.
 func (t *Tier) linkGap(g gapRec) []maritime.Alert {
 	p := t.cfg.Dark
+	if impliedKnots(g) > p.MaxImpliedKn {
+		return nil // g links with nothing
+	}
 	var out []maritime.Alert
 	for _, h := range t.closedGaps {
 		if h.MMSI == g.MMSI {
@@ -328,7 +343,7 @@ func (t *Tier) linkGap(g gapRec) []maritime.Alert {
 		if overlapEnd.Sub(overlapStart) < p.MinOverlap {
 			continue
 		}
-		if impliedKnots(g) > p.MaxImpliedKn || impliedKnots(h) > p.MaxImpliedKn {
+		if impliedKnots(h) > p.MaxImpliedKn {
 			continue
 		}
 		endDist := geo.Haversine(g.EndPos, h.EndPos)
@@ -363,11 +378,14 @@ func impliedKnots(g gapRec) float64 {
 // consecutive slides fires once per episode.
 func (t *Tier) rendezvousScreen(q time.Time) []maritime.Alert {
 	p := t.cfg.Rendezvous
-	// Collect loitering vessels in MMSI order and publish them into the
-	// shared proximity index.
+	// Collect loitering vessels outside every port's standoff in MMSI
+	// order and publish them into the shared proximity index. A vessel
+	// inside a standoff can never be half of a matched pair, so testing
+	// it once here, before pairing, leaves the matched set unchanged.
 	mmsis := make([]uint32, 0, len(t.vstates))
 	for mmsi, v := range t.vstates {
-		if v.slow && !v.dark && v.speedKn <= p.MaxSpeedKn {
+		if v.slow && !v.dark && v.speedKn <= p.MaxSpeedKn &&
+			!t.nearPort(v.pos, p.PortStandoffMeters) {
 			mmsis = append(mmsis, mmsi)
 		}
 	}
@@ -379,19 +397,11 @@ func (t *Tier) rendezvousScreen(q time.Time) []maritime.Alert {
 
 	matched := make(map[pairKey]bool)
 	for i, mmsi := range mmsis {
-		v := t.vstates[mmsi]
-		t.cand = t.idx.NearAppend(t.cand[:0], v.pos, p.DistanceMeters)
+		t.cand = t.idx.NearAppend(t.cand[:0], t.vstates[mmsi].pos, p.DistanceMeters)
 		for _, jj := range t.cand {
-			j := int(jj)
-			if j <= i {
-				continue // Haversine-exact query is symmetric: lower index owns the pair
+			if j := int(jj); j > i { // Haversine-exact query is symmetric: lower index owns the pair
+				matched[pairKey{mmsi, mmsis[j]}] = true
 			}
-			other := mmsis[j]
-			if t.nearPort(v.pos, p.PortStandoffMeters) ||
-				t.nearPort(t.vstates[other].pos, p.PortStandoffMeters) {
-				continue
-			}
-			matched[pairKey{mmsi, other}] = true
 		}
 	}
 

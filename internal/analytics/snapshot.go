@@ -94,7 +94,13 @@ func (t *Tier) Restore(s *Snapshot) {
 	t.evicted = 0
 	t.pairAlerts = 0
 	if t.det != nil {
-		t.det = collision.New(t.cfg.Collision)
+		// Restore in place rather than rebuild, so the detector's work
+		// counters keep counting across a restore.
+		var ds collision.DetectorSnapshot
+		if s != nil && s.Collision != nil {
+			ds = *s.Collision
+		}
+		t.det.Restore(ds)
 	}
 	if s == nil {
 		t.publishStats()
@@ -116,9 +122,6 @@ func (t *Tier) Restore(s *Snapshot) {
 	t.closedGaps = slices.Clone(s.Gaps)
 	t.evicted = s.Evicted
 	t.pairAlerts = s.PairAlerts
-	if t.det != nil && s.Collision != nil {
-		t.det.Restore(*s.Collision)
-	}
 	t.publishStats()
 }
 

@@ -95,6 +95,12 @@ type Stats struct {
 	// Evicted counts vessels whose state was dropped after going silent
 	// beyond Stale.
 	Evicted int
+	// CPAPairs counts candidate pairs whose closest point of approach
+	// Encounters computed; Encounters counts the pairs among them that
+	// came within threshold. Their ratio is the pruning's yield. Both
+	// count this detector's work and are not part of its snapshot.
+	CPAPairs   int64
+	Encounters int64
 }
 
 // Detector tracks vessel kinematics and answers encounter queries.
@@ -104,6 +110,8 @@ type Detector struct {
 
 	lateRejected int
 	evicted      int
+	cpaPairs     int64
+	encounters   int64
 
 	// Query scratch, reused across Encounters calls.
 	idx    *geo.PointIndex
@@ -188,6 +196,8 @@ func (d *Detector) Stats() Stats {
 		Vessels:      len(d.vessels),
 		LateRejected: d.lateRejected,
 		Evicted:      d.evicted,
+		CPAPairs:     d.cpaPairs,
+		Encounters:   d.encounters,
 	}
 }
 
@@ -270,6 +280,7 @@ func (d *Detector) Encounters(now time.Time) []Encounter {
 	for i := range states {
 		s := &states[i]
 		d.cand = d.idx.CandidatesAppend(d.cand[:0], s.geo, reach)
+		seen := d.idx.CoverOf(s.geo, reach)
 		for _, jj := range d.cand {
 			j := int(jj)
 			if j == i {
@@ -279,12 +290,14 @@ func (d *Detector) Encounters(now time.Time) []Encounter {
 				// Canonically the pair is handled by the lower index's
 				// query. The per-row longitude pad makes the scan slightly
 				// asymmetric at the reach boundary, so re-handle the pair
-				// here only if j's own query could not see i.
-				if pairSeenFrom(d.idx, d.states, j, i, reach) {
+				// here only if j's own query could not see i (an O(1)
+				// cell-coverage test).
+				if seen.From(states[j].geo) {
 					continue
 				}
 			}
 			a, b := states[min(i, j)], states[max(i, j)]
+			d.cpaPairs++
 			if enc, ok := cpa(a, b, p); ok {
 				enc.A, enc.B = a.mmsi, b.mmsi
 				enc.Where = planarToGeo(ref, enc.Where.Lon, enc.Where.Lat)
@@ -292,6 +305,7 @@ func (d *Detector) Encounters(now time.Time) []Encounter {
 			}
 		}
 	}
+	d.encounters += int64(len(out))
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TCPA != out[j].TCPA {
 			return out[i].TCPA < out[j].TCPA
@@ -299,17 +313,6 @@ func (d *Detector) Encounters(now time.Time) []Encounter {
 		return out[i].A < out[j].A
 	})
 	return out
-}
-
-// pairSeenFrom reports whether querying the index from states[from]
-// yields states[to] as a candidate.
-func pairSeenFrom(idx *geo.PointIndex, states []planar, from, to int, reach float64) bool {
-	for _, c := range idx.CandidatesAppend(nil, states[from].geo, reach) {
-		if int(c) == to {
-			return true
-		}
-	}
-	return false
 }
 
 // cpa computes the closest point of approach of two planar states. The

@@ -140,19 +140,61 @@ func TestGridPruningMatchesNaive(t *testing.T) {
 	}
 }
 
-func BenchmarkEncounters(b *testing.B) {
+// gridFleet returns a detector holding n vessels on a regular grid
+// over the Aegean (45 columns 0.2° apart, rows 0.15° apart) on varied
+// courses at 8–19 knots: dense enough that every vessel has dozens of
+// candidates within reach.
+func gridFleet(n int) *Detector {
 	d := New(Params{})
-	for i := uint32(0); i < 2000; i++ {
+	for i := uint32(0); i < uint32(n); i++ {
 		pos := geo.Point{
 			Lon: 20 + float64(i%45)*0.2,
 			Lat: 34 + float64(i/45)*0.15,
 		}
 		feed(d, i, pos, float64(i*13%360), 8+float64(i%12))
 	}
+	return d
+}
+
+func BenchmarkEncounters(b *testing.B) {
+	d := gridFleet(2000)
+	d.Encounters(t0) // warm the query scratch: measure the steady state
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Encounters(t0)
 	}
+}
+
+// Allocation gate: a warm Encounters query allocates a handful of
+// times per call (the MMSI order, the result, the sort), never once
+// per candidate pair. Deciding pair ownership by rescanning the index
+// cost one allocation per pair (about 418k per call on this fleet).
+func TestEncountersWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime inflates allocation counts")
+	}
+	d := gridFleet(2000)
+	// Fifty head-on pairs scattered through the grid, so the result is
+	// not empty.
+	for k := uint32(0); k < 50; k++ {
+		mid := geo.Point{Lon: 20.1 + float64(k%10)*0.8, Lat: 34.07 + float64(k/10)*1.2}
+		feed(d, 10_000+2*k, geo.Destination(mid, 270, 4000), 90, 12)
+		feed(d, 10_001+2*k, geo.Destination(mid, 90, 4000), 270, 12)
+	}
+	if n := len(d.Encounters(t0)); n < 50 {
+		t.Fatalf("%d encounters, want at least the 50 scripted pairs", n)
+	}
+	before := d.Stats().CPAPairs
+	allocs := testing.AllocsPerRun(10, func() { d.Encounters(t0) })
+	if pairs := (d.Stats().CPAPairs - before) / 11; pairs < 10_000 {
+		t.Fatalf("only %d CPA pairs per query; the fleet is too sparse for the gate", pairs)
+	}
+	const budget = 16
+	if allocs > budget {
+		t.Errorf("warm Encounters over 2000 vessels: %.0f allocs/call, budget %d", allocs, budget)
+	}
+	t.Logf("%.0f allocs per warm Encounters call", allocs)
 }
 
 func TestMooredClusterDoesNotAlarm(t *testing.T) {

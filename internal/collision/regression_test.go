@@ -285,3 +285,41 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// The index scan pads each row's longitude span by that row's own
+// worst-case latitude, so near the reach boundary at high latitude the
+// equatorward vessel's scan can see the poleward one while the reverse
+// scan misses it. Encounters must then handle the pair from the higher
+// index (the j < i branch). Fixture: vessel 1 (index 0) poleward,
+// vessel 2 (index 1) equatorward, placed where only vessel 2's scan
+// sees vessel 1, both faster than MaxSpeedKnots and closing head-on so
+// the pair genuinely alarms. Skipping the j < i branch loses it.
+func TestEncountersOwnsAsymmetricBoundaryPair(t *testing.T) {
+	params := Params{MaxSpeedKnots: 10}
+	poleward := geo.Point{Lon: 18.3, Lat: 70.04}
+	const speedKn = 30
+	for dist := 12_000.0; dist < 20_000; dist += 50 {
+		for brng := 180.0; brng < 270; brng += 5 {
+			south := geo.Destination(poleward, brng, dist)
+			d := New(params)
+			d.ObservePoint(1, poleward, t0, speedKn, geo.Bearing(poleward, south))
+			d.ObservePoint(2, south, t0, speedKn, geo.Bearing(south, poleward))
+			got := d.Encounters(t0)
+			p := d.params
+			reach := 2*geo.KnotsToMetersPerSecond(p.MaxSpeedKnots)*p.Horizon.Seconds() + p.DistanceMeters
+			s0, s1 := d.states[0].geo, d.states[1].geo
+			if d.idx.CoverOf(s1, reach).From(s0) || !d.idx.CoverOf(s0, reach).From(s1) {
+				continue // not the asymmetric case: index 0's scan sees index 1, or neither sees the other
+			}
+			want := bruteForce(d, t0)
+			if len(want) != 1 {
+				t.Fatalf("dist %.0f m bearing %.0f: oracle found %d encounters, want the closing pair", dist, brng, len(want))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("dist %.0f m bearing %.0f: boundary pair mishandled:\n got %v\nwant %v", dist, brng, got, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no asymmetric boundary placement found; the fixture no longer exercises the j < i branch")
+}

@@ -25,10 +25,11 @@ type pipelineMetrics struct {
 
 // RegisterMetrics wires the system's runtime metrics onto the registry:
 // per-stage slide latency histograms, fixes/critical-point/trip/alert
-// counters, and the watchdog health counters (sampled from the same
-// atomics Health reads). Call it during setup, before the pipeline
-// starts sliding; the watchdog metrics stay correct under concurrent
-// scrapes because they read only atomics.
+// counters, the watchdog health counters (sampled from the same
+// atomics Health reads) and, with the analytics tier armed, its
+// collision-screen work counters. Call it during setup, before the
+// pipeline starts sliding; the watchdog metrics stay correct under
+// concurrent scrapes because they read only atomics.
 func (s *System) RegisterMetrics(r *obs.Registry) {
 	stageHelp := "Per-slide cost of one pipeline stage, in seconds (the paper's Fig. 10 maintenance / Fig. 11 recognition breakdown)."
 	stage := func(name string) *obs.Histogram {
@@ -85,6 +86,14 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("maritime_degraded_dropped_events_total",
 		"Durative movement events dropped while recognition ran instantaneous-only.", nil,
 		func() float64 { return float64(s.degradedDrops.Load()) })
+	if s.analytics != nil {
+		r.CounterFunc("maritime_analytics_cpa_pairs_total",
+			"Candidate vessel pairs the collision screen computed a closest point of approach for.", nil,
+			func() float64 { return float64(s.analytics.Stats().CPAPairs) })
+		r.CounterFunc("maritime_analytics_encounters_total",
+			"Candidate pairs predicted to pass within the collision threshold (the useful share of maritime_analytics_cpa_pairs_total).", nil,
+			func() float64 { return float64(s.analytics.Stats().Encounters) })
+	}
 	s.tracker.RegisterMetrics(r)
 }
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/fleetsim"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -233,5 +235,63 @@ func TestPipelineMetricsExport(t *testing.T) {
 	}
 	if reg.Histogram("maritime_slide_stage_seconds", "", obs.Labels{"stage": "tracking"}, nil).Count() != uint64(len(reports)) {
 		t.Error("tracking histogram observation count != slides")
+	}
+}
+
+// TestAnalyticsWorkCountersExport arms the analytics tier with the
+// collision screen and checks its work counters reach the scrape: the
+// pairs the screen examined and the encounters among them, equal to
+// the tier's own Stats and with encounters never exceeding pairs.
+func TestAnalyticsWorkCountersExport(t *testing.T) {
+	sim := fleetsim.NewSimulator(simConfig(150, 5))
+	fixes := sim.Run()
+	vessels, areas, ports := AdaptWorld(sim)
+	cfg := defaultSystemConfig()
+	cfg.Analytics = &analytics.Config{EnableCollision: true}
+	sys := NewSystem(cfg, vessels, areas, ports)
+	reg := obs.NewRegistry()
+	sys.RegisterMetrics(reg)
+	sys.RunAll(stream.NewBatcher(stream.NewSliceSource(fixes), cfg.Window.Slide))
+
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	scraped := func(name string) float64 {
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("scrape missing %s", name)
+		return 0
+	}
+	st := sys.Analytics().Stats()
+	pairs := scraped("maritime_analytics_cpa_pairs_total")
+	encs := scraped("maritime_analytics_encounters_total")
+	if pairs != float64(st.CPAPairs) || encs != float64(st.Encounters) {
+		t.Errorf("scraped pairs=%v encounters=%v, tier Stats %+v", pairs, encs, st)
+	}
+	if pairs == 0 {
+		t.Error("collision screen examined no pairs; the fixture is too sparse")
+	}
+	if encs > pairs {
+		t.Errorf("encounters %v > pairs examined %v", encs, pairs)
+	}
+
+	// Without the tier the counters are not registered at all.
+	plain := NewSystem(defaultSystemConfig(), vessels, areas, ports)
+	reg2 := obs.NewRegistry()
+	plain.RegisterMetrics(reg2)
+	b.Reset()
+	if err := reg2.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "maritime_analytics_") {
+		t.Error("analytics counters exported with the tier disabled")
 	}
 }

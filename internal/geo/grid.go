@@ -289,25 +289,77 @@ func (x *PointIndex) CandidatesAppend(buf []int32, p Point, radiusMeters float64
 	return x.scan(buf, p, radiusMeters, false)
 }
 
+// CellCover answers, for one fixed point q and radius, whether a
+// CandidatesAppend scan from a given point visits q's cell — so that an
+// indexed point at q is among that scan's candidates. It is what a
+// caller needs to own a pair by "which side's scan sees the other"
+// without rescanning: building it costs one cosine, each From test a
+// few floors and compares, and neither allocates.
+type CellCover struct {
+	x       *PointIndex
+	cell    pointCell
+	radDeg  float64
+	lonSpan float64 // the scan's longitude pad in q's row
+}
+
+// CoverOf returns the cover test for scans of radiusMeters that might
+// reach q.
+func (x *PointIndex) CoverOf(q Point, radiusMeters float64) CellCover {
+	c := x.cellAt(q)
+	radDeg := scanRadDeg(radiusMeters)
+	return CellCover{x: x, cell: c, radDeg: radDeg, lonSpan: x.lonSpan(radDeg, c.row)}
+}
+
+// From reports whether a scan from p visits q's cell. It evaluates the
+// scan's own row range and column range expressions, so it agrees with
+// the scan bit for bit.
+func (c CellCover) From(p Point) bool {
+	rowLo, rowHi := c.x.rowRange(p, c.radDeg)
+	if c.cell.row < rowLo || c.cell.row > rowHi {
+		return false
+	}
+	colLo, colHi := c.x.colRange(p, c.lonSpan)
+	return c.cell.col >= colLo && c.cell.col <= colHi
+}
+
+// scanRadDeg is the radius in degrees of latitude, inflated by 1% so
+// the scanned cell box strictly over-approximates the proximity ring.
+func scanRadDeg(radiusMeters float64) float64 {
+	return radiusMeters / metersPerDegLat * 1.01
+}
+
+// rowRange is the inclusive range of cell rows a scan from p visits.
+func (x *PointIndex) rowRange(p Point, radDeg float64) (lo, hi int32) {
+	return int32(math.Floor((p.Lat - radDeg) / x.cellDeg)),
+		int32(math.Floor((p.Lat + radDeg) / x.cellDeg))
+}
+
+// lonSpan is the longitude pad of a scan in the given row. The span a
+// radius covers widens with the row's latitude; pad with the row band's
+// worst-case (highest-|lat|) edge, exactly like the area index's region
+// pad.
+func (x *PointIndex) lonSpan(radDeg float64, row int32) float64 {
+	loLat := float64(row) * x.cellDeg
+	hiLat := loLat + x.cellDeg
+	maxAbsLat := math.Max(math.Abs(loLat), math.Abs(hiLat))
+	return worstCaseLonPad(radDeg, maxAbsLat)
+}
+
+// colRange is the inclusive range of cell columns a scan from p visits
+// in a row whose longitude pad is lonSpan.
+func (x *PointIndex) colRange(p Point, lonSpan float64) (lo, hi int32) {
+	return int32(math.Floor((p.Lon - lonSpan) / x.cellDeg)),
+		int32(math.Floor((p.Lon + lonSpan) / x.cellDeg))
+}
+
 func (x *PointIndex) scan(buf []int32, p Point, radiusMeters float64, exact bool) []int32 {
 	if len(x.pts) == 0 {
 		return buf
 	}
-	// The radius in degrees of latitude, inflated by 1% so the scanned
-	// cell box strictly over-approximates the proximity ring.
-	radDeg := radiusMeters / metersPerDegLat * 1.01
-	rowLo := int32(math.Floor((p.Lat - radDeg) / x.cellDeg))
-	rowHi := int32(math.Floor((p.Lat + radDeg) / x.cellDeg))
+	radDeg := scanRadDeg(radiusMeters)
+	rowLo, rowHi := x.rowRange(p, radDeg)
 	for row := rowLo; row <= rowHi; row++ {
-		// The longitude span a radius covers widens with the row's
-		// latitude; pad with the row band's worst-case (highest-|lat|)
-		// edge, exactly like the area index's region pad.
-		loLat := float64(row) * x.cellDeg
-		hiLat := loLat + x.cellDeg
-		maxAbsLat := math.Max(math.Abs(loLat), math.Abs(hiLat))
-		lonSpan := worstCaseLonPad(radDeg, maxAbsLat)
-		colLo := int32(math.Floor((p.Lon - lonSpan) / x.cellDeg))
-		colHi := int32(math.Floor((p.Lon + lonSpan) / x.cellDeg))
+		colLo, colHi := x.colRange(p, x.lonSpan(radDeg, row))
 		for col := colLo; col <= colHi; col++ {
 			for _, slot := range x.cells[pointCell{col: col, row: row}] {
 				if exact && Haversine(p, x.pts[slot]) > radiusMeters {

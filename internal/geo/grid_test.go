@@ -243,6 +243,80 @@ func TestPointIndexCandidatesSuperset(t *testing.T) {
 	}
 }
 
+// CellCover is the O(1) form of "does a CandidatesAppend scan from p
+// report q": differential check against the scan itself over random
+// points in latitude bands on both hemispheres (the per-row longitude
+// pad widens poleward, so |lat| ≥ 60° is where the scan is most
+// asymmetric), at several cell sizes, plus points and query origins
+// placed exactly on cell edges.
+func TestCellCoverMatchesScan(t *testing.T) {
+	// Southern edges of the bands; each fixture is a 5×5-cell square.
+	bands := []float64{-2, 36, -44, 60, -70, 78}
+	rng := rand.New(rand.NewSource(17))
+	var checked, covered, asymmetric int
+	for _, cellDeg := range []float64{0.05, 0.1157, 0.45} {
+		radius := cellDeg * 111_000 // the collision screen sizes cells to its reach
+		for _, lat0 := range bands {
+			idx := NewPointIndex(cellDeg)
+			span := 5 * cellDeg
+			lon0 := -180 + rng.Float64()*350
+			random := func() Point {
+				return Point{Lon: lon0 + rng.Float64()*span, Lat: lat0 + rng.Float64()*span}
+			}
+			onEdge := func() Point {
+				// Exactly on a cell corner, as cellAt computes it.
+				return Point{
+					Lon: float64(int(lon0/cellDeg)+rng.Intn(5)) * cellDeg,
+					Lat: float64(int(lat0/cellDeg)+rng.Intn(5)) * cellDeg,
+				}
+			}
+			var pts []Point
+			for i := 0; i < 300; i++ {
+				p := random()
+				if i%5 == 0 {
+					p = onEdge()
+				}
+				pts = append(pts, p)
+				idx.Add(int32(i), p)
+			}
+			seen := make([]bool, len(pts))
+			for q := 0; q < 120; q++ {
+				from := random()
+				switch q % 4 {
+				case 0:
+					from = onEdge()
+				case 1:
+					from = pts[rng.Intn(len(pts))] // an indexed point's own scan
+				}
+				clear(seen)
+				for _, id := range idx.CandidatesAppend(nil, from, radius) {
+					seen[id] = true
+				}
+				for i, p := range pts {
+					got := idx.CoverOf(p, radius).From(from)
+					if got != seen[i] {
+						t.Fatalf("cell %g lat %g: CoverOf(%v).From(%v) = %v, scan reports it: %v",
+							cellDeg, lat0, p, from, got, seen[i])
+					}
+					checked++
+					if got {
+						covered++
+						if !idx.CoverOf(from, radius).From(p) {
+							asymmetric++
+						}
+					}
+				}
+			}
+		}
+	}
+	// The check is only meaningful if both answers occur often and the
+	// scan's boundary asymmetry is actually exercised.
+	if covered < checked/5 || covered > checked*4/5 || asymmetric == 0 {
+		t.Fatalf("fixture too one-sided: %d checked, %d covered, %d asymmetric", checked, covered, asymmetric)
+	}
+	t.Logf("%d pairs checked, %d covered, %d asymmetric", checked, covered, asymmetric)
+}
+
 func TestPointIndexResetReuse(t *testing.T) {
 	idx := NewPointIndex(0.1)
 	p1 := Point{Lon: 24, Lat: 37}
